@@ -240,6 +240,42 @@ func BenchmarkDriverFixpoint(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpPipeline runs the interpreted five-pass pipeline over
+// hompack-ish exactly as `opt -opts CTP,CFO,DCE,FUS,PAR` does: built-in
+// optimizers sharing one dependence graph through ApplyAllWith. Run with
+// -benchmem; allocs/op tracks the dependence-maintenance cost.
+func BenchmarkInterpPipeline(b *testing.B) {
+	raw, err := os.ReadFile(filepath.Join("examples", "programs", "hompack-ish.mf"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	template, err := ParseProgram(string(raw))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var opts []*Optimizer
+	for _, name := range []string{"CTP", "CFO", "DCE", "FUS", "PAR"} {
+		o, err := BuiltIn(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts = append(opts, o)
+	}
+	b.ReportMetric(float64(template.Len()), "stmts")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := template.Clone()
+		b.StartTimer()
+		g := Dependences(p)
+		for _, o := range opts {
+			if _, err := o.ApplyAllWith(context.Background(), p, g); err != nil {
+				b.Fatalf("%s: %v", o.Name(), err)
+			}
+		}
+	}
+}
+
 // BenchmarkDriverFixpointObs isolates the cost of the tracing layer on the
 // driver fixpoint: no tracer at all, a disabled tracer threaded through every
 // candidate point (the production default — must stay within 5% of "none";

@@ -409,12 +409,18 @@ func pipeline(p *ir.Program, optsFlag, specFiles string, maxIter, regionWorkers 
 	if tracer != nil {
 		copts = append(copts, genesis.WithTracer(tracer))
 	}
+	// The sequential passes share one dependence graph, maintained from
+	// pass to pass instead of recomputed at every pass entry.
+	var g *dep.Graph
 	applyAll := func(o *genesis.Optimizer) (int, error) {
 		if regionWorkers > 1 {
 			n, _, err := o.ApplyAllParallel(context.Background(), p, regionWorkers)
 			return n, err
 		}
-		return o.ApplyAll(p)
+		if g == nil {
+			g = genesis.Dependences(p)
+		}
+		return o.ApplyAllWith(context.Background(), p, g)
 	}
 	for _, name := range splitList(optsFlag) {
 		o, err := genesis.BuiltIn(name, copts...)

@@ -127,7 +127,7 @@ func main() {
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 
 		jobsDir     = flag.String("jobs-dir", "", "batch-job WAL directory (empty = in-memory queue)")
-		jobsWorkers = flag.Int("jobs-workers", 0, "max concurrently running batch jobs (0 = GOMAXPROCS)")
+		jobsWorkers = flag.Int("jobs-workers", 0, "max concurrently running batch jobs (0 = GOMAXPROCS-1, at least 1)")
 		jobsRetries = flag.Int("jobs-retries", 2, "default re-run budget after a job's first attempt")
 
 		peers     = flag.String("peers", "", "comma-separated cluster member addresses (host:port, including this node); empty = single node")

@@ -27,8 +27,10 @@ type access struct {
 // and leading-'<' vectors are emitted here.
 //
 // A non-nil filter restricts the pass to the named arrays (the incremental
-// updater's dirty-name set); nil analyzes every array.
-func (g *Graph) arrayDeps(lt *loopTable, filter map[string]bool) {
+// updater's dirty-name set); nil analyzes every array. A non-nil touched set
+// further restricts it to the access pairs with at least one endpoint in
+// the set: Update keeps the edges between untouched statements.
+func (g *Graph) arrayDeps(lt *loopTable, filter map[string]bool, touched map[*ir.Stmt]bool) {
 	byName, names := g.collectArrayGroups(filter)
 	if g.workers > 1 && len(names) > 1 {
 		// Fan the per-array pair tests out over the pool: one array's tests
@@ -43,7 +45,7 @@ func (g *Graph) arrayDeps(lt *loopTable, filter map[string]bool) {
 			var buf []Dependence
 			emit := func(d Dependence) { buf = append(buf, d) }
 			for i := sh; i < len(names); i += shards {
-				g.pairTests(byName[names[i]], lt, emit)
+				g.pairTests(byName[names[i]], lt, touched, emit)
 			}
 			return buf
 		})
@@ -57,7 +59,7 @@ func (g *Graph) arrayDeps(lt *loopTable, filter map[string]bool) {
 	// Deterministic order: the dependence list's order feeds candidate
 	// enumeration and therefore the cost experiments.
 	for _, name := range names {
-		g.pairTests(byName[name], lt, g.add)
+		g.pairTests(byName[name], lt, touched, g.add)
 	}
 }
 
@@ -86,16 +88,38 @@ func (g *Graph) collectArrayGroups(filter map[string]bool) (map[string][]access,
 	return byName, names
 }
 
-// pairTests runs the subscript tests over every ordered pair of one
-// array's accesses, emitting the resulting dependences.
-func (g *Graph) pairTests(group []access, lt *loopTable, emit func(Dependence)) {
-	for _, src := range group {
-		for _, dst := range group {
-			kind, ok := pairKind(src, dst)
-			if !ok {
-				continue
-			}
+// pairTests runs the subscript tests over the ordered pairs of one array's
+// accesses, emitting the resulting dependences: every pair when touched is
+// nil, otherwise only the pairs with a touched endpoint.
+func (g *Graph) pairTests(group []access, lt *loopTable, touched map[*ir.Stmt]bool, emit func(Dependence)) {
+	test := func(src, dst access) {
+		if kind, ok := pairKind(src, dst); ok {
 			g.testPair(kind, src, dst, lt, emit)
+		}
+	}
+	if touched == nil {
+		for _, src := range group {
+			for _, dst := range group {
+				test(src, dst)
+			}
+		}
+		return
+	}
+	var hot []access
+	for _, ac := range group {
+		if touched[ac.stmt] {
+			hot = append(hot, ac)
+		}
+	}
+	for _, src := range group {
+		if touched[src.stmt] {
+			for _, dst := range group {
+				test(src, dst)
+			}
+			continue
+		}
+		for _, dst := range hot {
+			test(src, dst)
 		}
 	}
 }
@@ -141,22 +165,22 @@ func (g *Graph) testPair(kind Kind, src, dst access, lt *loopTable, emit func(De
 	p := g.Prog
 	common := lt.common(p.Index(src.stmt), p.Index(dst.stmt))
 	n := len(common)
-	lcvAt := make(map[string]int, n) // LCV name → level (0-based)
+	ls := make(levels, n)
 	for k, l := range common {
-		lcvAt[l.LCV()] = k
+		ls[k] = l.LCV()
 	}
 
 	dirs := make([]DirSet, n)
 	for i := range dirs {
 		dirs[i] = DirAny
 	}
-	bounds := loopBounds(common, lcvAt)
+	bounds := loopBounds(common, ls)
 	dims := len(src.op.Subs)
 	if len(dst.op.Subs) < dims {
 		dims = len(dst.op.Subs)
 	}
 	for d := 0; d < dims; d++ {
-		if !constrainDim(src.op.Subs[d], dst.op.Subs[d], lcvAt, bounds, dirs) {
+		if !constrainDim(src.op.Subs[d], dst.op.Subs[d], ls, bounds, dirs) {
 			return // this dimension proves independence
 		}
 	}
@@ -211,13 +235,35 @@ func (g *Graph) testPair(kind Kind, src, dst access, lt *loopTable, emit func(De
 	}
 }
 
+// levels names the control variable of each common loop, outermost first:
+// the map from an index variable to its loop level.
+type levels []string
+
+// of returns the level of index variable v. When nested loops share a
+// control variable the innermost one binds it.
+func (ls levels) of(v string) (int, bool) {
+	for k := len(ls) - 1; k >= 0; k-- {
+		if ls[k] == v {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// bound is the iteration-value range [lo, hi] of one loop level; ok is
+// false when the bounds are not constant.
+type bound struct {
+	lo, hi int64
+	ok     bool
+}
+
 // loopBounds extracts the iteration-value range of each constant-bound
-// common loop (level → [min, max]), the information the Banerjee and
-// weak-SIV tests consume.
-func loopBounds(common []ir.Loop, lcvAt map[string]int) map[int][2]int64 {
-	out := map[int][2]int64{}
+// common loop, indexed by level: the information the Banerjee and weak-SIV
+// tests consume.
+func loopBounds(common []ir.Loop, ls levels) []bound {
+	out := make([]bound, len(ls))
 	for _, l := range common {
-		k, ok := lcvAt[l.LCV()]
+		k, ok := ls.of(l.LCV())
 		if !ok {
 			continue
 		}
@@ -229,7 +275,7 @@ func loopBounds(common []ir.Loop, lcvAt map[string]int) map[int][2]int64 {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		out[k] = [2]int64{lo, hi}
+		out[k] = bound{lo, hi, true}
 	}
 	return out
 }
@@ -238,41 +284,29 @@ func loopBounds(common []ir.Loop, lcvAt map[string]int) map[int][2]int64 {
 // subscript dimension (equation f(I) = g(I')). It returns false when the
 // dimension proves there is no dependence. bounds carries the known
 // iteration ranges per level for the Banerjee-style interval test.
-func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]int64, dirs []DirSet) bool {
+func constrainDim(f, gexp ir.LinExpr, ls levels, bounds []bound, dirs []DirSet) bool {
 	f = f.Normalize()
 	gexp = gexp.Normalize()
 
-	// Split both sides into common-loop index terms and symbolic terms.
+	// Split both sides into common-loop index terms, per level, and
+	// symbolic terms.
 	type coefs struct{ src, dst int64 }
-	loopCoef := map[int]*coefs{}
-	symDiff := map[string]int64{} // src coef − dst coef for non-index symbols
+	loopCoef := make([]coefs, len(dirs))
 	for _, t := range f.Terms {
-		if k, ok := lcvAt[t.Var]; ok {
-			if loopCoef[k] == nil {
-				loopCoef[k] = &coefs{}
-			}
+		if k, ok := ls.of(t.Var); ok {
 			loopCoef[k].src += t.Coef
-		} else {
-			symDiff[t.Var] += t.Coef
 		}
 	}
 	for _, t := range gexp.Terms {
-		if k, ok := lcvAt[t.Var]; ok {
-			if loopCoef[k] == nil {
-				loopCoef[k] = &coefs{}
-			}
+		if k, ok := ls.of(t.Var); ok {
 			loopCoef[k].dst += t.Coef
-		} else {
-			symDiff[t.Var] -= t.Coef
 		}
 	}
 	// Loop-invariant symbols appearing with equal coefficients on both
 	// sides cancel (the classical assumption); any remaining symbolic term
 	// makes the dimension inconclusive — no constraint.
-	for _, c := range symDiff {
-		if c != 0 {
-			return true
-		}
+	if !symbolsCancel(f, gexp, ls) {
+		return true
 	}
 	cdiff := f.Const - gexp.Const // f + cdiff*0: equation Σ a·i − Σ b·i' = −cdiff
 
@@ -301,7 +335,7 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 				delta := cdiff / c.src
 				// With known bounds, a distance beyond the iteration span
 				// can never be realized.
-				if b, ok := bounds[k]; ok && abs(delta) > b[1]-b[0] {
+				if b := bounds[k]; b.ok && abs(delta) > b.hi-b.lo {
 					return false
 				}
 				switch {
@@ -331,7 +365,7 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 					}
 					i0 = cdiff / c.dst
 				}
-				if b, ok := bounds[k]; ok && (i0 < b[0] || i0 > b[1]) {
+				if b := bounds[k]; b.ok && (i0 < b.lo || i0 > b.hi) {
 					return false
 				}
 				// Directions stay unconstrained (the fixed side pairs with
@@ -360,8 +394,8 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 	lo, hi := cdiff, cdiff
 	bounded := true
 	for k, c := range loopCoef {
-		b, ok := bounds[k]
-		if !ok {
+		b := bounds[k]
+		if !b.ok {
 			if c.src != 0 || c.dst != 0 {
 				bounded = false
 				break
@@ -372,7 +406,7 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 			if coef == 0 {
 				continue
 			}
-			x, y := coef*b[0], coef*b[1]
+			x, y := coef*b.lo, coef*b.hi
 			if x > y {
 				x, y = y, x
 			}
@@ -382,6 +416,30 @@ func constrainDim(f, gexp ir.LinExpr, lcvAt map[string]int, bounds map[int][2]in
 	}
 	if bounded && (lo > 0 || hi < 0) {
 		return false
+	}
+	return true
+}
+
+// symbolsCancel reports whether the non-index terms of two normalized
+// expressions carry equal coefficients. Normalized terms are sorted by
+// variable with duplicates merged, so the symbolic parts cancel exactly
+// when they are the same sequence.
+func symbolsCancel(f, g ir.LinExpr, ls levels) bool {
+	next := func(ts []ir.Term, i int) int {
+		for i < len(ts) {
+			if _, ok := ls.of(ts[i].Var); !ok {
+				break
+			}
+			i++
+		}
+		return i
+	}
+	i, j := next(f.Terms, 0), next(g.Terms, 0)
+	for i < len(f.Terms) || j < len(g.Terms) {
+		if i == len(f.Terms) || j == len(g.Terms) || f.Terms[i] != g.Terms[j] {
+			return false
+		}
+		i, j = next(f.Terms, i+1), next(g.Terms, j+1)
 	}
 	return true
 }

@@ -195,29 +195,32 @@ type Graph struct {
 	// of the program's statement list.
 	Entry *ir.Stmt
 
-	// flow retains the underlying dataflow analysis (liveness etc.) for
-	// clients such as the benefit estimator. It is dropped by incremental
-	// updates and recomputed lazily on the next Dataflow call.
-	flow *dataflow.Analysis
-
 	// Query index, rebuilt by normalize. from/to hold edge indices by
-	// statement position (slot 0 is Entry), byKind holds them per dependence
-	// kind, and index buckets the exact (kind, src, dst) triples under a
-	// packed integer key. A deleted statement also resolves to slot 0, so
-	// every consumer re-checks endpoint identity while filtering.
-	from   [][]int32
-	to     [][]int32
-	byKind [numKinds][]int32
-	index  map[uint64][]int32
+	// statement position (slot 0 is Entry). The canonical order sorts edges
+	// by kind, then source and destination position, so every per-kind
+	// bucket and every exact (kind, src, dst) bucket is a contiguous run of
+	// Deps: byKind holds the per-kind runs, and keys lists the packed
+	// (kind, src, dst) key of each exact run in ascending order, with
+	// keyStart its first edge. Buckets are handed out as sub-slices of seq,
+	// the identity permutation, so no bucket is ever allocated. A deleted
+	// statement also resolves to slot 0, so every consumer re-checks
+	// endpoint identity while filtering.
+	from     [][]int32
+	to       [][]int32
+	byKind   [numKinds][]int32
+	keys     []uint64
+	keyStart []int32
+	seq      []int32
 
 	// arrays names every array accessed by the program, so lookup counters
 	// can classify data edges as scalar or array. Filled by arrayDeps.
 	arrays map[string]bool
 
-	// scratch is the spare edge buffer normalize ping-pongs with Deps, so
-	// the per-application canonicalization does not allocate a fresh slice
-	// every time.
+	// scratch is the spare edge buffer normalize ping-pongs with Deps, and
+	// order its sort permutation, so the per-application canonicalization
+	// does not allocate fresh slices every time.
 	scratch []Dependence
+	order   []int32
 	// stats counts this graph's query and maintenance traffic. Plain (not
 	// atomic) counters: a Graph, like a Program, is not safe for concurrent
 	// use, and each fixpoint pass owns its graph.
@@ -317,20 +320,17 @@ func (g *Graph) slot(s *ir.Stmt) int {
 	return g.Prog.Index(s) + 1
 }
 
-// key packs an exact (kind, src, dst) query into one integer. Positions fit
-// in 28 bits each; programs are nowhere near that size.
-func (g *Graph) key(kind Kind, src, dst *ir.Stmt) uint64 {
-	return uint64(kind)<<56 | uint64(g.slot(src))<<28 | uint64(g.slot(dst))
+// key packs an exact (kind, src-slot, dst-slot) query into one integer.
+// Positions fit in 28 bits each; programs are nowhere near that size. Keys
+// ascend along the canonical edge order.
+func key(kind Kind, si, di int) uint64 {
+	return uint64(kind)<<56 | uint64(si)<<28 | uint64(di)
 }
 
-// Dataflow returns the dataflow analysis for the current snapshot, computing
-// it on demand when an incremental update invalidated the cached one.
-func (g *Graph) Dataflow() *dataflow.Analysis {
-	if g.flow == nil {
-		g.flow = dataflow.Analyze(g.Prog)
-	}
-	return g.flow
-}
+// Dataflow computes the dataflow analysis (liveness etc.) of the program's
+// current snapshot. The graph does not retain it: dependence maintenance
+// never reads it back.
+func (g *Graph) Dataflow() *dataflow.Analysis { return dataflow.Analyze(g.Prog) }
 
 // Compute builds the full dependence graph for p.
 func Compute(p *ir.Program) *Graph {
@@ -339,71 +339,93 @@ func Compute(p *ir.Program) *Graph {
 	return g
 }
 
+// Recompute rebuilds the graph from scratch for its program's current
+// state, in place. It keeps the Entry statement's identity, the worker
+// setting and the traffic counters, so a caller sharing the graph across
+// passes (the full-recompute differential mode) sees the same object with
+// monotonic Stats.
+func (g *Graph) Recompute() { g.recompute() }
+
 // recompute rebuilds the whole graph in place, preserving the Entry
 // statement's identity so existing bindings to it stay valid.
 func (g *Graph) recompute() {
 	p := g.Prog
 	g.Deps = g.Deps[:0]
-	g.resetMaps()
 	g.arrays = make(map[string]bool)
 	lt := buildLoopTable(p)
-	a := dataflow.Analyze(p)
-	g.flow = a
-	g.scalarDepsFrom(a, lt)
-	g.arrayDeps(lt, nil)
+	g.scalarDepsFrom(dataflow.Analyze(p), lt)
+	g.arrayDeps(lt, nil, nil)
 	g.controlDeps()
 	g.normalize()
 }
 
-func (g *Graph) resetMaps() {
+// add appends a freshly derived edge. Exact duplicates (the scalar
+// analysis emits one per repeated use of a name in a statement) are
+// dropped by normalize, where they sort next to each other.
+func (g *Graph) add(d Dependence) {
+	if d.Src == nil || d.Dst == nil {
+		return
+	}
+	g.Deps = append(g.Deps, d)
+}
+
+// relink rebuilds the adjacency lists and the run index from the sorted
+// edge list: one linear pass, allocation-free once the backing arrays have
+// grown to the program's size.
+func (g *Graph) relink() {
 	n := g.Prog.Len() + 1
-	// Reuse the adjacency backing and the index map's buckets when
-	// possible: resetMaps runs once per incremental update, and the
-	// allocations otherwise dominate its cost.
-	if cap(g.from) >= n && cap(g.to) >= n && g.index != nil {
+	if cap(g.from) >= n && cap(g.to) >= n {
 		g.from = g.from[:n]
 		g.to = g.to[:n]
 		for i := 0; i < n; i++ {
 			g.from[i] = g.from[i][:0]
 			g.to[i] = g.to[i][:0]
 		}
-		clear(g.index)
 	} else {
 		g.from = make([][]int32, n)
 		g.to = make([][]int32, n)
-		g.index = make(map[uint64][]int32, len(g.Deps))
 	}
-	for k := range g.byKind {
-		g.byKind[k] = g.byKind[k][:0]
+	for i := int32(len(g.seq)); i < int32(len(g.Deps)); i++ {
+		g.seq = append(g.seq, i)
 	}
-}
-
-func (g *Graph) add(d Dependence) {
-	if d.Src == nil || d.Dst == nil {
-		return
-	}
-	// Deduplicate identical edges (same kind/ends/var/vector): the exact
-	// (kind, src, dst) index bucket holds every candidate duplicate.
-	for _, di := range g.index[g.key(d.Kind, d.Src, d.Dst)] {
-		e := &g.Deps[di]
-		if e.Src == d.Src && e.Dst == d.Dst &&
-			e.Var == d.Var && e.SrcPos == d.SrcPos && e.DstPos == d.DstPos && vecEqual(e.Vec, d.Vec) {
-			return
+	g.keys = g.keys[:0]
+	g.keyStart = g.keyStart[:0]
+	var kindStart [numKinds + 1]int32
+	kind := Kind(-1)
+	for i := range g.Deps {
+		d := &g.Deps[i]
+		si, di := g.slot(d.Src), g.slot(d.Dst)
+		g.from[si] = append(g.from[si], int32(i))
+		g.to[di] = append(g.to[di], int32(i))
+		for kind < d.Kind {
+			kind++
+			kindStart[kind] = int32(i)
+		}
+		if k := key(d.Kind, si, di); len(g.keys) == 0 || g.keys[len(g.keys)-1] != k {
+			g.keys = append(g.keys, k)
+			g.keyStart = append(g.keyStart, int32(i))
 		}
 	}
-	idx := len(g.Deps)
-	g.Deps = append(g.Deps, d)
-	g.link(idx, d)
+	for kind < numKinds {
+		kind++
+		kindStart[kind] = int32(len(g.Deps))
+	}
+	for k := range g.byKind {
+		g.byKind[k] = g.seq[kindStart[k]:kindStart[k+1]]
+	}
 }
 
-// link registers edge idx in the adjacency lists and the query index.
-func (g *Graph) link(idx int, d Dependence) {
-	si, di := g.slot(d.Src), g.slot(d.Dst)
-	g.from[si] = append(g.from[si], int32(idx))
-	g.to[di] = append(g.to[di], int32(idx))
-	g.byKind[d.Kind] = append(g.byKind[d.Kind], int32(idx))
-	k := g.key(d.Kind, d.Src, d.Dst)
-	g.index[k] = append(g.index[k], int32(idx))
+// bucket returns the run of edges linked under the exact key k.
+func (g *Graph) bucket(k uint64) []int32 {
+	i := sort.Search(len(g.keys), func(i int) bool { return g.keys[i] >= k })
+	if i == len(g.keys) || g.keys[i] != k {
+		return nil
+	}
+	end := int32(len(g.Deps))
+	if i+1 < len(g.keyStart) {
+		end = g.keyStart[i+1]
+	}
+	return g.seq[g.keyStart[i]:end]
 }
 
 // normalize sorts the edge list into a canonical order and rebuilds the
@@ -414,54 +436,64 @@ func (g *Graph) link(idx int, d Dependence) {
 func (g *Graph) normalize() { g.normalizeFrom(0) }
 
 // normalizeFrom is normalize knowing the first n edges are already in
-// canonical relative order: it sorts only the suffix and merges the two
-// runs. Update passes the kept-edge count — the expensive full sort then
-// runs only over the handful of freshly derived edges. normalizeFrom(0)
-// is a plain full sort.
+// canonical order and free of duplicates: it sorts and deduplicates only
+// the suffix and merges the two runs. Update passes the kept-edge count —
+// the sort then runs only over the freshly derived edges, which never
+// duplicate a kept one (see Update). normalizeFrom(0) is a plain full
+// sort.
 func (g *Graph) normalizeFrom(n int) {
 	m := len(g.Deps)
 	if n > m {
 		n = m
 	}
-	// The comparator is a total order on distinct edges (add() dedups exact
-	// duplicates), so sorting an index permutation and permuting once is
-	// equivalent to a stable sort of the edge structs — and much cheaper:
-	// the sort swaps ints instead of 100-byte structs through reflection.
-	idx := make([]int32, m-n)
-	for i := range idx {
-		idx[i] = int32(n + i)
+	// The comparator is a total order on distinct edges, so sorting an
+	// index permutation and permuting once is equivalent to a stable sort
+	// of the edge structs — and much cheaper: the sort swaps ints instead
+	// of 100-byte structs through reflection.
+	idx := g.order[:0]
+	for i := n; i < m; i++ {
+		idx = append(idx, int32(i))
 	}
+	g.order = idx
 	sort.Slice(idx, func(x, y int) bool {
 		return g.less(&g.Deps[idx[x]], &g.Deps[idx[y]])
 	})
+	// Equal edges are adjacent now; keep the first of each run. Two edges
+	// equal under less share kind, endpoints, variable, positions and
+	// vector, which is exactly what makes them duplicates.
+	u := 0
+	for _, e := range idx {
+		if u > 0 && !g.less(&g.Deps[idx[u-1]], &g.Deps[e]) {
+			continue
+		}
+		idx[u] = e
+		u++
+	}
+	idx = idx[:u]
 	if cap(g.scratch) < m {
 		g.scratch = make([]Dependence, 0, m+m/2)
 	}
+	// Merge by binary-searching each new edge's place in the kept run and
+	// block-copying the kept edges before it: an update derives a few
+	// dozen edges against thousands kept, so this costs O(new · log kept)
+	// comparisons instead of one per kept edge.
 	out := g.scratch[:0]
-	i, j := 0, 0
-	for i < n && j < len(idx) {
-		if g.less(&g.Deps[idx[j]], &g.Deps[i]) {
-			out = append(out, g.Deps[idx[j]])
-			j++
-		} else {
-			out = append(out, g.Deps[i])
-			i++
-		}
+	i := 0
+	for _, e := range idx {
+		d := &g.Deps[e]
+		end := i + sort.Search(n-i, func(k int) bool { return g.less(d, &g.Deps[i+k]) })
+		out = append(out, g.Deps[i:end]...)
+		out = append(out, *d)
+		i = end
 	}
 	out = append(out, g.Deps[i:n]...)
-	for ; j < len(idx); j++ {
-		out = append(out, g.Deps[idx[j]])
-	}
 	g.scratch = g.Deps[:0]
 	g.Deps = out
-	g.resetMaps()
-	for i, d := range g.Deps {
-		g.link(i, d)
-	}
+	g.relink()
 }
 
-// less is the canonical edge order: a strict total order on the distinct
-// edges add() admits, anchored at statement positions (Entry first).
+// less is the canonical edge order: a strict total order on distinct
+// edges, anchored at statement positions (Entry first).
 func (g *Graph) less(a, b *Dependence) bool {
 	p := g.Prog
 	pos := func(s *ir.Stmt) int {
@@ -505,18 +537,6 @@ func (g *Graph) less(a, b *Dependence) bool {
 	return false
 }
 
-func vecEqual(a, b Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // From returns the dependences emanating from s.
 func (g *Graph) From(s *ir.Stmt) []Dependence {
 	var out []Dependence
@@ -546,7 +566,7 @@ func (g *Graph) To(s *ir.Stmt) []Dependence {
 func (g *Graph) candidates(kind Kind, src, dst *ir.Stmt) []int32 {
 	switch {
 	case src != nil && dst != nil:
-		return g.index[g.key(kind, src, dst)]
+		return g.bucket(key(kind, g.slot(src), g.slot(dst)))
 	case src != nil:
 		return g.from[g.slot(src)]
 	case dst != nil:
@@ -579,6 +599,20 @@ func (g *Graph) Query(kind Kind, src, dst *ir.Stmt, pattern Vector) []Dependence
 		}
 	}
 	return out
+}
+
+// Count returns how many dependences Query would return, examining and
+// tallying the same candidate edges, without copying them.
+func (g *Graph) Count(kind Kind, src, dst *ir.Stmt, pattern Vector) int {
+	n := 0
+	for _, i := range g.candidates(kind, src, dst) {
+		d := &g.Deps[i]
+		g.countLookup(d)
+		if g.matches(d, kind, src, dst, pattern) {
+			n++
+		}
+	}
+	return n
 }
 
 // Exists reports whether any dependence matches the query. Unlike Query it

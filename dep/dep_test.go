@@ -604,3 +604,15 @@ END`)
 	}
 	_ = ir.Loops(p)
 }
+
+func vecEqual(a, b Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

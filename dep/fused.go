@@ -17,7 +17,7 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 	var result DirSet
 
 	// Virtual common loop: l1's LCV at level 0; l2's LCV renamed to it.
-	lcvAt := map[string]int{l1.LCV(): 0}
+	ls := levels{l1.LCV()}
 	rename := func(e ir.LinExpr) ir.LinExpr {
 		if l2.LCV() == l1.LCV() {
 			return e
@@ -37,13 +37,13 @@ func FusedDirections(p *ir.Program, s, t *ir.Stmt, l1, l2 ir.Loop) DirSet {
 			}
 			dirs := []DirSet{DirAny}
 			feasible := true
-			bounds := loopBounds([]ir.Loop{l1}, lcvAt)
+			bounds := loopBounds([]ir.Loop{l1}, ls)
 			dims := len(a.op.Subs)
 			if len(b.op.Subs) < dims {
 				dims = len(b.op.Subs)
 			}
 			for d := 0; d < dims && feasible; d++ {
-				feasible = constrainDim(a.op.Subs[d], rename(b.op.Subs[d]), lcvAt, bounds, dirs)
+				feasible = constrainDim(a.op.Subs[d], rename(b.op.Subs[d]), ls, bounds, dirs)
 			}
 			if feasible {
 				result |= dirs[0]

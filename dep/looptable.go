@@ -40,34 +40,49 @@ func buildLoopTable(p *ir.Program) *loopTable {
 
 	// Pass 2: record the open loop and control stacks at each statement.
 	// A head/end statement is not inside its own region, matching
-	// ir.EnclosingLoops and the control-dependence rule.
+	// ir.EnclosingLoops and the control-dependence rule. Each stack is
+	// snapshotted only when a bracket changes it; the statements between
+	// two brackets share one read-only snapshot.
 	var loops []ir.Loop
 	var ctrl []*ir.Stmt
+	var loopSnap []ir.Loop
+	var ctrlSnap []*ir.Stmt
 	for i := 0; i < n; i++ {
 		s := p.At(i)
 		switch s.Kind {
 		case ir.SDoEnd:
 			if len(loops) > 0 {
 				loops = loops[:len(loops)-1]
+				loopSnap = nil
 			}
 			if len(ctrl) > 0 {
 				ctrl = ctrl[:len(ctrl)-1]
+				ctrlSnap = nil
 			}
 		case ir.SEndIf:
 			if len(ctrl) > 0 {
 				ctrl = ctrl[:len(ctrl)-1]
+				ctrlSnap = nil
 			}
 		}
-		t.enclosing[i] = append([]ir.Loop(nil), loops...)
-		t.ctrlHeads[i] = append([]*ir.Stmt(nil), ctrl...)
+		if loopSnap == nil && len(loops) > 0 {
+			loopSnap = append([]ir.Loop(nil), loops...)
+		}
+		if ctrlSnap == nil && len(ctrl) > 0 {
+			ctrlSnap = append([]*ir.Stmt(nil), ctrl...)
+		}
+		t.enclosing[i] = loopSnap
+		t.ctrlHeads[i] = ctrlSnap
 		switch s.Kind {
 		case ir.SDoHead:
 			if end, ok := ends[s]; ok {
 				loops = append(loops, ir.Loop{Head: s, End: end})
 				ctrl = append(ctrl, s)
+				loopSnap, ctrlSnap = nil, nil
 			}
 		case ir.SIf:
 			ctrl = append(ctrl, s)
+			ctrlSnap = nil
 		}
 	}
 	return t

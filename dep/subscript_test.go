@@ -170,12 +170,11 @@ DO i = 3, 9
 ENDDO
 END`)
 	loops := ir.Loops(p)
-	lcvAt := map[string]int{"i": 0, "j": 1}
-	b := loopBounds(loops, lcvAt)
-	if got, ok := b[0]; !ok || got != [2]int64{3, 9} {
-		t.Errorf("bounds[i] = %v, %v", got, ok)
+	b := loopBounds(loops, levels{"i", "j"})
+	if got := b[0]; got != (bound{3, 9, true}) {
+		t.Errorf("bounds[i] = %+v", got)
 	}
-	if _, ok := b[1]; ok {
+	if b[1].ok {
 		t.Error("variable-bound loop must have no extracted bounds")
 	}
 }

@@ -214,6 +214,15 @@ func (o *Optimizer) ApplyAllCtx(ctx context.Context, p *ir.Program) (int, error)
 	return len(apps), err
 }
 
+// ApplyAllWith is ApplyAllCtx against a caller-maintained dependence graph
+// g (from Dependences), which must describe p's current state. On return g
+// describes p's state again, so a pipeline of optimizers can share one
+// graph instead of computing a fresh one per pass.
+func (o *Optimizer) ApplyAllWith(ctx context.Context, p *ir.Program, g *dep.Graph) (int, error) {
+	apps, err := o.inner.ApplyAllWith(ctx, p, g)
+	return len(apps), err
+}
+
 // ApplyAllParallel is ApplyAllCtx with region-parallel execution: with
 // workers > 1 the fixpoint runs dependence-disjoint regions of the program
 // concurrently, or shards the candidate search across workers when the
@@ -270,7 +279,7 @@ func (s *Spec) GenerateGo(pkg string, emitMain bool) (string, error) {
 }
 
 // Optimize parses a program, applies the named built-in optimizations in
-// order (each to fixpoint) and returns the optimized program together with
+// order (each to fixpoint, sharing one dependence graph) and returns the optimized program together with
 // the per-optimization application counts.
 func Optimize(source string, optimizations ...string) (*ir.Program, map[string]int, error) {
 	p, err := ParseProgram(source)
@@ -278,12 +287,13 @@ func Optimize(source string, optimizations ...string) (*ir.Program, map[string]i
 		return nil, nil, err
 	}
 	counts := map[string]int{}
+	g := dep.Compute(p) // shared by every pass
 	for _, name := range optimizations {
 		o, err := BuiltIn(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		n, err := o.ApplyAll(p)
+		n, err := o.ApplyAllWith(context.Background(), p, g)
 		if err != nil {
 			return nil, nil, err
 		}

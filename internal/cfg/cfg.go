@@ -41,13 +41,16 @@ func BuildForward(p *ir.Program) *Graph { return build(p, false) }
 
 func build(p *ir.Program, withBackEdges bool) *Graph {
 	n := p.Len()
-	g := &Graph{Prog: p, Succ: make([][]int, n), Pred: make([][]int, n)}
+	// Edges are collected in source order and then laid out in two flat
+	// arrays, so a build costs a few allocations rather than two per
+	// statement.
+	type edge struct{ from, to int }
+	edges := make([]edge, 0, 2*n)
 	add := func(from, to int) {
 		if to < 0 || to >= n {
 			return
 		}
-		g.Succ[from] = append(g.Succ[from], to)
-		g.Pred[to] = append(g.Pred[to], from)
+		edges = append(edges, edge{from, to})
 	}
 	for i := 0; i < n; i++ {
 		s := p.At(i)
@@ -87,22 +90,50 @@ func build(p *ir.Program, withBackEdges bool) *Graph {
 			add(i, i+1)
 		}
 	}
-	// Deduplicate edges (empty-body loops can produce duplicates).
-	for i := range g.Succ {
-		g.Succ[i] = dedup(g.Succ[i])
-		g.Pred[i] = dedup(g.Pred[i])
+	g := &Graph{Prog: p, Succ: make([][]int, n), Pred: make([][]int, n)}
+	succ := make([]int, len(edges))
+	predStart := make([]int, n+1)
+	for k, e := range edges {
+		succ[k] = e.to
+		predStart[e.to+1]++
+	}
+	for i := 0; i < n; i++ {
+		predStart[i+1] += predStart[i]
+	}
+	pred := make([]int, len(edges))
+	fill := append([]int(nil), predStart[:n]...)
+	for _, e := range edges {
+		pred[fill[e.to]] = e.from
+		fill[e.to]++
+	}
+	// Successor runs are contiguous because edges were added in source
+	// order. Deduplicate each list (empty-body loops can produce
+	// duplicates); the capacity limits keep the runs from overlapping.
+	k := 0
+	for i := 0; i < n; i++ {
+		j := k
+		for j < len(edges) && edges[j].from == i {
+			j++
+		}
+		g.Succ[i] = dedup(succ[k:j:j])
+		g.Pred[i] = dedup(pred[predStart[i]:predStart[i+1]:predStart[i+1]])
+		k = j
 	}
 	return g
 }
 
+// dedup drops repeated entries in place, keeping first occurrences. Edge
+// lists hold at most a handful of entries, so a quadratic scan beats a set.
 func dedup(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
 	out := xs[:0]
+outer:
 	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
+		for _, y := range out {
+			if x == y {
+				continue outer
+			}
 		}
+		out = append(out, x)
 	}
 	return out
 }

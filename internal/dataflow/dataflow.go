@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"sync"
+
 	"repro/internal/cfg"
 	"repro/ir"
 )
@@ -35,8 +37,8 @@ type Analysis struct {
 	Defs   []Def
 	Uses   []Use
 
-	defsAt map[int][]int
-	usesAt map[int][]int
+	defsAt [][]int
+	usesAt [][]int
 
 	// ReachIn[i] = definitions reaching the entry of statement i (full CFG).
 	ReachIn []BitSet
@@ -58,21 +60,27 @@ type Analysis struct {
 	// edges included) with no definition of their location in between: the
 	// uses the implicit zero-initialization at program entry can reach.
 	UpwardExposed BitSet
-	// LiveOut[i] = names live at exit of statement i.
-	LiveOut []map[string]bool
+
+	// liveOut[i] = names live at exit of statement i. The dependence
+	// analyzer never reads liveness, so it is computed on the first
+	// LiveOutOf call rather than on every analysis.
+	liveOnce sync.Once
+	liveOut  []map[string]bool
 }
 
 // Analyze runs all analyses on a snapshot of p.
 func Analyze(p *ir.Program) *Analysis { return analyze(p, nil) }
 
-// AnalyzeNames runs the same analyses restricted to the definitions and uses
-// of the given location names. Because gen/kill sets only interact within a
-// single name (a definition of x kills only facts about x), the restricted
-// facts for those names are identical to the corresponding slice of a full
-// Analyze — at a fraction of the cost. The incremental dependence updater
-// uses this to re-derive only the dependences of names an edit touched.
-// Liveness (LiveOut) is likewise restricted and should not be consulted on a
-// name-filtered analysis.
+// AnalyzeNames runs the same analyses restricted to the scalar definitions
+// and uses of the given location names. Because gen/kill sets only interact
+// within a single name (a definition of x kills only facts about x), and
+// array accesses kill nothing, the restricted facts for those scalars are
+// identical to the corresponding slice of a full Analyze — at a fraction of
+// the cost. The incremental dependence updater uses this to re-derive only
+// the scalar dependences of names an edit touched (array dependences come
+// from subscript tests, not from dataflow). Liveness is not computed here:
+// LiveOutOf derives it on first use, and on a name-filtered analysis it
+// covers only the filtered scalars, so it should not be consulted there.
 func AnalyzeNames(p *ir.Program, names map[string]bool) *Analysis {
 	return analyze(p, names)
 }
@@ -81,8 +89,8 @@ func analyze(p *ir.Program, names map[string]bool) *Analysis {
 	a := &Analysis{
 		Graph:  cfg.Build(p),
 		FGraph: cfg.BuildForward(p),
-		defsAt: make(map[int][]int),
-		usesAt: make(map[int][]int),
+		defsAt: make([][]int, p.Len()),
+		usesAt: make([][]int, p.Len()),
 	}
 	a.collect(p, names)
 
@@ -101,20 +109,21 @@ func analyze(p *ir.Program, names map[string]bool) *Analysis {
 	} else {
 		a.UpwardExposed = NewBitSet(0)
 	}
-	a.liveness(p)
 	return a
 }
 
 func (a *Analysis) collect(p *ir.Program, names map[string]bool) {
-	keep := func(name string) bool { return names == nil || names[name] }
+	keep := func(name string, isArray bool) bool {
+		return names == nil || (!isArray && names[name])
+	}
 	for i := 0; i < p.Len(); i++ {
 		s := p.At(i)
-		if d, ok := s.Defs(); ok && keep(d.Name) {
+		if d, ok := s.Defs(); ok && keep(d.Name, d.IsArray()) {
 			a.defsAt[i] = append(a.defsAt[i], len(a.Defs))
 			a.Defs = append(a.Defs, Def{StmtIdx: i, Name: d.Name, IsArray: d.IsArray()})
 		}
 		addUse := func(name string, isArray bool, pos int) {
-			if !keep(name) {
+			if !keep(name, isArray) {
 				return
 			}
 			a.usesAt[i] = append(a.usesAt[i], len(a.Uses))
@@ -206,10 +215,24 @@ func (a *Analysis) useGenKill(p *ir.Program) (gen, kill []BitSet) {
 	return gen, kill
 }
 
+// makeSets returns n empty sets over domain, carved from one backing
+// array: the solvers run once per incremental dependence update, and a
+// separate allocation per statement would dominate their cost.
 func makeSets(n, domain int) []BitSet {
 	out := make([]BitSet, n)
+	w := (domain + 63) / 64
+	words := make([]uint64, n*w)
 	for i := range out {
-		out[i] = NewBitSet(domain)
+		out[i] = BitSet{words: words[i*w : (i+1)*w : (i+1)*w], n: domain}
+	}
+	return out
+}
+
+// copySets returns an independent copy of sets.
+func copySets(sets []BitSet, domain int) []BitSet {
+	out := makeSets(len(sets), domain)
+	for i := range sets {
+		copy(out[i].words, sets[i].words)
 	}
 	return out
 }
@@ -219,10 +242,8 @@ func makeSets(n, domain int) []BitSet {
 func solveForward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
 	n := len(g.Succ)
 	in := makeSets(n, domain)
-	out := make([]BitSet, n)
-	for i := 0; i < n; i++ {
-		out[i] = gen[i].Copy()
-	}
+	out := copySets(gen, domain)
+	next := NewBitSet(domain)
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < n; i++ {
@@ -231,11 +252,11 @@ func solveForward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
 					changed = true
 				}
 			}
-			next := in[i].Copy()
+			copy(next.words, in[i].words)
 			next.AndNotInto(kill[i])
 			next.OrInto(gen[i])
 			if !next.Equal(out[i]) {
-				out[i] = next
+				copy(out[i].words, next.words)
 				changed = true
 			}
 		}
@@ -248,21 +269,19 @@ func solveForward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
 // apply first.
 func solveBackward(g *cfg.Graph, gen, kill []BitSet, domain int) []BitSet {
 	n := len(g.Succ)
-	exp := make([]BitSet, n)
-	for i := 0; i < n; i++ {
-		exp[i] = gen[i].Copy()
-	}
+	exp := copySets(gen, domain)
+	acc := NewBitSet(domain)
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			acc := NewBitSet(domain)
+			clear(acc.words)
 			for _, si := range g.Succ[i] {
 				acc.OrInto(exp[si])
 			}
 			acc.AndNotInto(kill[i])
 			acc.OrInto(gen[i])
 			if !acc.Equal(exp[i]) {
-				exp[i] = acc
+				copy(exp[i].words, acc.words)
 				changed = true
 			}
 		}
@@ -294,8 +313,9 @@ func (a *Analysis) DefIdxsAt(i int) []int { return a.defsAt[i] }
 // UseIdxsAt returns indices into Uses for statement i.
 func (a *Analysis) UseIdxsAt(i int) []int { return a.usesAt[i] }
 
-func (a *Analysis) liveness(p *ir.Program) {
-	n := p.Len()
+// liveness computes liveOut over the CFG.
+func (a *Analysis) liveness() {
+	n := len(a.Graph.Succ)
 	liveIn := make([]map[string]bool, n)
 	liveOut := make([]map[string]bool, n)
 	for i := 0; i < n; i++ {
@@ -336,7 +356,7 @@ func (a *Analysis) liveness(p *ir.Program) {
 			}
 		}
 	}
-	a.LiveOut = liveOut
+	a.liveOut = liveOut
 }
 
 func sameStringSet(a, b map[string]bool) bool {
@@ -351,10 +371,12 @@ func sameStringSet(a, b map[string]bool) bool {
 	return true
 }
 
-// LiveOutOf reports whether name is live at exit of statement i.
+// LiveOutOf reports whether name is live at exit of statement i. The first
+// call computes liveness for the whole analysis.
 func (a *Analysis) LiveOutOf(i int, name string) bool {
-	if i < 0 || i >= len(a.LiveOut) {
+	a.liveOnce.Do(a.liveness)
+	if i < 0 || i >= len(a.liveOut) {
 		return false
 	}
-	return a.LiveOut[i][name]
+	return a.liveOut[i][name]
 }

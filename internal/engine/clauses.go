@@ -312,17 +312,17 @@ func (o *Optimizer) chooseStrategy(ctx *context, dc gospel.DependClause, env Env
 		kind, _ := depPredName(ap.call.Fn)
 		switch {
 		case ap.pair:
-			depCount += len(ctx.graph.Query(kind, nil, nil, predQueryDir(ap.call)))
+			depCount += ctx.graph.Count(kind, nil, nil, predQueryDir(ap.call))
 			covered[ap.srcName] = true
 			covered[ap.dstName] = true
 		case ap.newIsrc:
 			if dv, err := ctx.eval(env, ap.call.Args[1]); err == nil && dv.Kind == VStmt {
-				depCount += len(ctx.graph.Query(kind, nil, dv.Stmt, predQueryDir(ap.call)))
+				depCount += ctx.graph.Count(kind, nil, dv.Stmt, predQueryDir(ap.call))
 				covered[ap.newName] = true
 			}
 		default:
 			if sv, err := ctx.eval(env, ap.call.Args[0]); err == nil && sv.Kind == VStmt {
-				depCount += len(ctx.graph.Query(kind, sv.Stmt, nil, predQueryDir(ap.call)))
+				depCount += ctx.graph.Count(kind, sv.Stmt, nil, predQueryDir(ap.call))
 				covered[ap.newName] = true
 			}
 		}

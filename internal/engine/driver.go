@@ -4,6 +4,7 @@ import (
 	stdcontext "context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -25,14 +26,14 @@ func envSignature(e Env) string {
 		switch v.Kind {
 		case VStmt:
 			if v.Stmt != nil {
-				parts = append(parts, fmt.Sprintf("S%d", v.Stmt.ID))
+				parts = append(parts, idPart('S', v.Stmt.ID))
 			}
 		case VLoop:
 			if v.Loop.Head != nil {
-				parts = append(parts, fmt.Sprintf("L%d", v.Loop.Head.ID))
+				parts = append(parts, idPart('L', v.Loop.Head.ID))
 			}
 		case VNum:
-			parts = append(parts, fmt.Sprintf("%d", v.Num))
+			parts = append(parts, strconv.FormatInt(v.Num, 10))
 		case VSet:
 			// Render the sorted member IDs: two distinct sets of equal size
 			// must not collide, or the second application point is silently
@@ -46,13 +47,20 @@ func envSignature(e Env) string {
 			sort.Ints(ids)
 			mem := make([]string, len(ids))
 			for i, id := range ids {
-				mem[i] = fmt.Sprintf("S%d", id)
+				mem[i] = idPart('S', id)
 			}
 			parts = append(parts, "set{"+strings.Join(mem, ",")+"}")
 		}
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ";")
+}
+
+// idPart renders one signature element such as "S12" with a single
+// allocation.
+func idPart(prefix byte, id int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix), int64(id), 10))
 }
 
 // Application describes one performed application of an optimization.
@@ -106,7 +114,19 @@ func (o *Optimizer) ApplyAll(p *ir.Program) ([]Application, error) {
 // performed. The program is left in its partially-optimized (structurally
 // valid) state. This is the entry point request-scoped callers (the optd
 // service) use to bound optimization time.
-func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []Application, err error) {
+func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) ([]Application, error) {
+	return o.ApplyAllWith(ctx, p, nil)
+}
+
+// ApplyAllWith is ApplyAllCtx against a caller-maintained dependence graph
+// g, which must describe p's current state; nil computes a private one.
+// On return — error returns included — g describes p's state again: it is
+// maintained after every application (refreshed in place under
+// WithoutIncremental, and once at the end under WithoutRecompute). A
+// pipeline can therefore hand one graph from pass to pass and pay for one
+// dep.Compute instead of one per pass. OnPassStats reports this pass's
+// share of g's traffic counters.
+func (o *Optimizer) ApplyAllWith(ctx stdcontext.Context, p *ir.Program, g *dep.Graph) (apps []Application, err error) {
 	traced := o.Tracer.Enabled()
 	root := o.Tracer.Start("pass", obs.String("spec", o.Spec.Name))
 	var done []Application
@@ -115,10 +135,18 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 	if owned {
 		defer log.Detach()
 	}
-	g := dep.Compute(p)
-	// depAcc accumulates the stats of graphs already replaced by a full
-	// recomputation (WithoutIncremental mode), so the pass total is exact.
-	var depAcc dep.Stats
+	if g == nil {
+		g = dep.Compute(p)
+	} else if !o.RecomputeDeps {
+		// The paper's no-recompute mode leaves the graph stale while the
+		// pass runs; the next pass must not inherit that.
+		defer func() {
+			if len(done) > 0 {
+				g.Recompute()
+			}
+		}()
+	}
+	statsBase := g.Stats()
 	if o.OnPassDone != nil || o.OnPassStats != nil || traced {
 		t0 := time.Now()
 		costBase := o.cost
@@ -134,7 +162,7 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 				o.OnPassDone(o.Spec.Name, len(apps), d)
 			}
 			if o.OnPassStats != nil {
-				c, st := o.cost, depAcc.Add(g.Stats())
+				c, st := o.cost, g.Stats().Sub(statsBase)
 				o.OnPassStats(obs.PassStats{
 					Spec:               o.Spec.Name,
 					Applications:       len(apps),
@@ -245,8 +273,7 @@ func (o *Optimizer) ApplyAllCtx(ctx stdcontext.Context, p *ir.Program) (apps []A
 					act.Set("dep_update", "structural")
 				}
 			} else {
-				depAcc = depAcc.Add(g.Stats())
-				g = dep.Compute(p)
+				g.Recompute()
 				act.Set("dep_update", "full")
 			}
 		} else {

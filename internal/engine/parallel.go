@@ -169,7 +169,6 @@ func (o *Optimizer) applySharded(ctx stdcontext.Context, p *ir.Program, workers 
 	}
 	g := dep.Compute(p)
 	g.SetWorkers(workers)
-	var depAcc dep.Stats
 	if o.OnPassDone != nil || o.OnPassStats != nil || traced {
 		t0 := time.Now()
 		costBase := o.cost
@@ -185,7 +184,7 @@ func (o *Optimizer) applySharded(ctx stdcontext.Context, p *ir.Program, workers 
 				o.OnPassDone(o.Spec.Name, len(apps), d)
 			}
 			if o.OnPassStats != nil {
-				c, st := o.cost, depAcc.Add(g.Stats())
+				c, st := o.cost, g.Stats()
 				o.OnPassStats(obs.PassStats{
 					Spec:               o.Spec.Name,
 					Applications:       len(apps),
@@ -231,9 +230,7 @@ func (o *Optimizer) applySharded(ctx stdcontext.Context, p *ir.Program, workers 
 			if o.IncrementalDeps {
 				g.Update(log.Since(start))
 			} else {
-				depAcc = depAcc.Add(g.Stats())
-				g = dep.Compute(p)
-				g.SetWorkers(workers)
+				g.Recompute()
 			}
 		}
 		if owned {

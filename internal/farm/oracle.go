@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/dep"
 	"repro/internal/engine"
 	"repro/internal/frontend"
 	"repro/internal/gospel"
@@ -242,6 +243,7 @@ func (c *Checker) runVariant(ctx context.Context, v Variant, prog *ir.Program, s
 	if c.cfg.MaxIterations > 0 {
 		eopts = append(eopts, engine.WithMaxApplications(c.cfg.MaxIterations))
 	}
+	g := dep.Compute(p) // shared by every pass
 	for _, name := range order {
 		o, err := engine.Compile(c.specs[name], eopts...)
 		if err != nil {
@@ -249,7 +251,7 @@ func (c *Checker) runVariant(ctx context.Context, v Variant, prog *ir.Program, s
 			// checker bug, not a program-dependent condition.
 			return nil, nil, fmt.Errorf("compile %s: %w", name, err)
 		}
-		apps, err := o.ApplyAllCtx(ctx, p)
+		apps, err := o.ApplyAllWith(ctx, p, g)
 		census[name] += len(apps)
 		if err != nil {
 			return nil, nil, fmt.Errorf("pass %s after %d application(s): %w", name, len(apps), err)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -43,7 +44,10 @@ type Config struct {
 	// Dir holds the write-ahead log; empty selects a memory-only queue
 	// (state does not survive restart — tests and ephemeral servers).
 	Dir string
-	// Workers bounds concurrently running jobs; <1 selects GOMAXPROCS.
+	// Workers bounds concurrently running jobs; <1 selects GOMAXPROCS−1
+	// (at least 1), so a burst of batch work leaves one processor to the
+	// request path: with every processor running jobs, a submission or a
+	// status poll waits for a running job to yield its processor.
 	Workers int
 	// MaxRetries is the default re-run budget after a job's first attempt;
 	// negative selects 2. Per-job values override it.
@@ -64,6 +68,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Workers < 1 {
+		c.Workers = max(runtime.GOMAXPROCS(0)-1, 1)
+	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 2
 	}

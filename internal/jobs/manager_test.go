@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -649,5 +650,53 @@ func TestExplicitIDSubmission(t *testing.T) {
 	got, ok := m2.Get(j.ID)
 	if !ok || got.State != StateDone || got.Seq != j3.Seq {
 		t.Fatalf("after replay: job %s = %+v, want done at seq %d", j.ID, got, j3.Seq)
+	}
+}
+
+func TestDefaultWorkersLeaveAProcessor(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for procs, want := range map[int]int{1: 1, 2: 1, 3: 2, 8: 7} {
+		runtime.GOMAXPROCS(procs)
+		if got := (Config{}).withDefaults().Workers; got != want {
+			t.Errorf("GOMAXPROCS %d: default workers = %d, want %d", procs, got, want)
+		}
+	}
+	if got := (Config{Workers: 5}).withDefaults().Workers; got != 5 {
+		t.Errorf("explicit workers = %d, want 5", got)
+	}
+
+	// Under the default, one fewer job than processors runs at a time.
+	runtime.GOMAXPROCS(3)
+	r := newTestRunner()
+	blocker := make(chan struct{})
+	cfg := fastCfg(t.TempDir())
+	cfg.Workers = 0
+	m, err := New(r.run, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	var ids []string
+	for i := range 3 {
+		key := fmt.Sprintf("b%d", i)
+		r.mu.Lock()
+		r.block[key] = blocker
+		r.mu.Unlock()
+		j, _, err := m.Submit(SubmitRequest{Key: key, Payload: []byte(`{}`), MaxRetries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	<-r.started
+	<-r.started
+	time.Sleep(20 * time.Millisecond)
+	if queued, running := m.Depths(); queued != 1 || running != 2 {
+		t.Fatalf("depths = %d queued, %d running; want 1 queued, 2 running", queued, running)
+	}
+	close(blocker)
+	for _, id := range ids {
+		waitState(t, m, id, StateDone)
 	}
 }

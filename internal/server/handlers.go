@@ -350,6 +350,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 	parseUS := time.Since(t0).Microseconds()
 
 	maxRegions := 0
+	var g *dep.Graph // shared by the sequential passes
 	for _, ps := range passes {
 		current = ps.name
 		sp, _ := trace.Start(r.Context(), "pass."+ps.name)
@@ -364,7 +365,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 			}
 			sp.Set("regions", strconv.Itoa(rep.Regions))
 		} else {
-			apps, err = ps.opt.ApplyAllCtx(r.Context(), prog)
+			if g == nil {
+				g = dep.Compute(prog)
+			}
+			apps, err = ps.opt.ApplyAllWith(r.Context(), prog, g)
 		}
 		sp.Set("applications", strconv.Itoa(len(apps)))
 		sp.End()

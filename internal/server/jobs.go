@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/dep"
 	"repro/internal/frontend"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -416,9 +417,10 @@ func (s *Server) runJobAttempt(ctx context.Context, j *jobs.Job) (json.RawMessag
 	}
 	parseUS := time.Since(t0).Microseconds()
 
+	g := dep.Compute(prog) // shared by every pass
 	for _, ps := range passes {
 		sp, _ := trace.Start(ctx, "pass."+ps.name)
-		apps, err := ps.opt.ApplyAllCtx(ctx, prog)
+		apps, err := ps.opt.ApplyAllWith(ctx, prog, g)
 		sp.Set("applications", strconv.Itoa(len(apps)))
 		sp.End()
 		if err != nil {

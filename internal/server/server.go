@@ -71,7 +71,7 @@ type Config struct {
 	// in-memory (non-durable) queue.
 	JobsDir string
 	// JobsWorkers bounds concurrently running batch jobs; values < 1
-	// select GOMAXPROCS.
+	// select GOMAXPROCS−1 (at least 1), leaving a processor to requests.
 	JobsWorkers int
 	// JobsRetries is the default re-run budget after a job's first
 	// attempt; negative selects 2.

@@ -61,7 +61,7 @@ func VarExpr(name string) LinExpr { return LinExpr{Terms: []Term{{Coef: 1, Var: 
 // Normalize sorts terms by variable name, merges duplicates and drops zero
 // coefficients, producing a canonical form suitable for equality checks.
 func (e LinExpr) Normalize() LinExpr {
-	if len(e.Terms) == 0 {
+	if e.normal() {
 		return e
 	}
 	m := make(map[string]int64, len(e.Terms))
@@ -80,6 +80,17 @@ func (e LinExpr) Normalize() LinExpr {
 		out.Terms = append(out.Terms, Term{Coef: m[v], Var: v})
 	}
 	return out
+}
+
+// normal reports whether e is already in canonical form: terms strictly
+// ascending by variable, none with a zero coefficient.
+func (e LinExpr) normal() bool {
+	for i, t := range e.Terms {
+		if t.Coef == 0 || (i > 0 && e.Terms[i-1].Var >= t.Var) {
+			return false
+		}
+	}
+	return true
 }
 
 // Add returns e + o in normalized form.

@@ -128,8 +128,7 @@ func fixpointRegions(ctx context.Context, p *ir.Program, g *dep.Graph, apply App
 	// The splice is journaled on p; refresh the shared graph from it so the
 	// next pass starts valid.
 	if lim.FullRecompute {
-		*g = *dep.Compute(p)
-		g.SetWorkers(lim.Parallel)
+		g.Recompute()
 	} else {
 		g.Update(log.Since(start))
 	}
@@ -161,7 +160,7 @@ func fixpointShared(ctx context.Context, p *ir.Program, g *dep.Graph, apply Appl
 		n++
 		incremental := false
 		if lim.FullRecompute {
-			*g = *dep.Compute(p)
+			g.Recompute()
 		} else {
 			incremental = g.Update(log.Since(start))
 		}

@@ -24,14 +24,14 @@
 #                                    # concurrency can pay for itself
 #
 # Environment:
-#   BENCH    regexp of benchmarks to run  (default: DriverFixpoint|ServerOptimize|JobsThroughput|ClusterForward|FarmThroughput)
+#   BENCH    regexp of benchmarks to run  (default: DriverFixpoint|InterpPipeline|ServerOptimize|JobsThroughput|ClusterForward|FarmThroughput)
 #   COUNT    -count for statistical runs  (default: 6)
 #   OUT      output file                  (default: bench-new.txt)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH=${BENCH:-'DriverFixpoint|ServerOptimize|JobsThroughput|ClusterForward|FarmThroughput'}
+BENCH=${BENCH:-'DriverFixpoint|InterpPipeline|ServerOptimize|JobsThroughput|ClusterForward|FarmThroughput'}
 COUNT=${COUNT:-6}
 OUT=${OUT:-bench-new.txt}
 BASELINE=
